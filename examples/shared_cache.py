@@ -1,7 +1,7 @@
 """Fleet-shared pulse cache: a server and two independent clients.
 
 Starts an in-process cache server (the same one ``python -m
-repro.control.cache_server`` runs standalone), then compiles a small
+repro.control.cache`` runs standalone), then compiles a small
 GRAPE-backed batch through two *separate* client engines, each with its
 own empty local cache, both pointed at the server.  The first client
 pays for every pulse synthesis; its results are pushed to the server as

@@ -10,9 +10,10 @@ Layering (each module builds on the previous):
 * :mod:`.locking` — advisory ``flock`` file locks.
 * :mod:`.sharded` — :class:`ShardedDiskPulseCache`: many processes on
   one box share a directory of shard pairs, no server needed.
-* :mod:`.protocol` / :mod:`.server` / :mod:`.client` — the socket
-  protocol, :class:`CacheServer` (``python -m repro.control.cache_server``)
-  and :class:`RemotePulseCache` for sharing across boxes.
+* :mod:`.protocol` / :mod:`.server` / :mod:`.client` — the wire kernel
+  (framing, the TCP server and client connection the compile service
+  shares), :class:`CacheServer` (``python -m repro.control.cache``) and
+  :class:`RemotePulseCache` for sharing across boxes.
 * :mod:`.metrics` — hit-rate helpers and the exit-bill summary line.
 
 All four store backends are drop-in :class:`PulseCache` subclasses; use
@@ -23,11 +24,15 @@ from __future__ import annotations
 
 import os
 
-from repro.control.cache.client import RemotePulseCache, parse_cache_url
+from repro.control.cache.client import RemotePulseCache
 from repro.control.cache.disk import DiskPulseCache
 from repro.control.cache.locking import HAVE_FILE_LOCKS, FileLock
 from repro.control.cache.metrics import cache_summary, hit_rate
-from repro.control.cache.protocol import PROTOCOL_FORMAT, ProtocolError
+from repro.control.cache.protocol import (
+    PROTOCOL_FORMAT,
+    ProtocolError,
+    parse_cache_url,
+)
 from repro.control.cache.server import CacheServer
 from repro.control.cache.sharded import DEFAULT_SHARDS, ShardedDiskPulseCache
 from repro.control.cache.store import (

@@ -1,10 +1,10 @@
-"""Run a shared pulse-cache server: ``python -m repro.control.cache_server``.
+"""Run a shared pulse-cache server: ``python -m repro.control.cache``.
 
 Serves one pulse store to any number of compile processes over the
 length-prefixed JSON protocol (see :mod:`repro.control.cache.protocol`).
 Typical fleet setup::
 
-    python -m repro.control.cache_server --port 7777 --cache fleet_cache &
+    python -m repro.control.cache --port 7777 --cache fleet_cache &
     python -m repro.experiments.runner --cache-url 127.0.0.1:7777 ...
 
 The store is persisted (``--cache`` stem or sharded directory) on clean
@@ -15,8 +15,6 @@ eviction.
 from __future__ import annotations
 
 import argparse
-import signal
-import sys
 
 from repro.control.cache import CacheServer, PulseCache, resolve_cache
 from repro.control.cache.server import DEFAULT_LOCK_TTL_SECONDS
@@ -24,7 +22,7 @@ from repro.control.cache.server import DEFAULT_LOCK_TTL_SECONDS
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.control.cache_server",
+        prog="python -m repro.control.cache",
         description="Shared pulse-cache server for fleet compilation.",
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -74,19 +72,13 @@ def main(argv: list[str] | None = None) -> int:
         f"({store.latency_count} latencies + {store.pulse_count} pulses warm)",
         flush=True,
     )
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        saved = store.save()
-        stats = server.stats()
-        print(
-            f"cache server stopped: {saved} entries persisted, "
-            f"{sum(stats['server_requests'].values())} requests served",
-            flush=True,
-        )
+    saved = server.serve_until_interrupted()
+    stats = server.stats()
+    print(
+        f"cache server stopped: {saved} entries persisted, "
+        f"{sum(stats['server_requests'].values())} requests served",
+        flush=True,
+    )
     return 0
 
 

@@ -20,10 +20,9 @@ import time
 
 from repro.control.cache.protocol import (
     ProtocolError,
+    WireConnection,
     encode_latency_key,
     encode_pulse_key,
-    recv_message,
-    send_message,
 )
 from repro.control.cache.store import CacheDelta, PulseCache
 from repro.control.grape import GrapeResult
@@ -34,22 +33,6 @@ DEFAULT_FLUSH_THRESHOLD = 32
 #: Lease poll cadence while another client synthesizes our signature.
 _LEASE_POLL_SECONDS = 0.05
 _LEASE_POLL_MAX_SECONDS = 1.0
-
-
-def parse_cache_url(url: str) -> tuple[str, int]:
-    """``host:port`` or ``tcp://host:port`` -> (host, port)."""
-    spec = url.strip()
-    if spec.startswith("tcp://"):
-        spec = spec[len("tcp://") :]
-    host, separator, port = spec.rpartition(":")
-    if not separator or not host:
-        raise ProtocolError(
-            f"cache url {url!r} is not host:port or tcp://host:port"
-        )
-    try:
-        return host, int(port)
-    except ValueError:
-        raise ProtocolError(f"cache url {url!r} has a non-numeric port") from None
 
 
 class RemotePulseCache(PulseCache):
@@ -78,17 +61,14 @@ class RemotePulseCache(PulseCache):
     ) -> None:
         super().__init__(max_bytes=max_bytes)
         self.url = url
-        self.host, self.port = parse_cache_url(url)
+        self._wire = WireConnection(url, timeout)
         self.flush_threshold = max(0, int(flush_threshold))
-        self.timeout = timeout
         self.lock_ttl = lock_ttl
         self.owner = f"{socket.gethostname()}:{os.getpid()}:{id(self):x}"
         self._pending = CacheDelta()
-        self._sock: socket.socket | None = None
-        #: Serializes the single socket *and* the pending delta across
+        #: Serializes the pending delta and the request counters across
         #: the batch engine's thread-pool workers, which all read through
-        #: one shared client; interleaved frames would cross responses
-        #: between threads.  Reentrant because ``flush`` calls
+        #: one shared client.  Reentrant because ``flush`` calls
         #: ``_request`` while holding it.  (The inherited ``_lock``
         #: covers only the in-memory L1.)
         self._io_lock = threading.RLock()
@@ -100,12 +80,11 @@ class RemotePulseCache(PulseCache):
         self.flushed_entries = 0
         self.lease_wait_seconds = 0.0
 
-    # -- pickling: sockets cannot cross process boundaries ---------------
+    # -- pickling: the connection travels without its socket ------------
 
     def __getstate__(self):
         self.flush()
         state = super().__getstate__()
-        state["_sock"] = None
         del state["_io_lock"]
         return state
 
@@ -117,34 +96,11 @@ class RemotePulseCache(PulseCache):
 
     # -- transport -------------------------------------------------------
 
-    def _connect(self) -> socket.socket:
-        if self._sock is None:
-            self._sock = socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
-            )
-        return self._sock
-
     def _request(self, payload: dict) -> dict:
-        """One round trip; reconnects once on a dropped connection.
-
-        Holds ``_io_lock`` for the whole round trip so concurrent
-        threads cannot interleave frames or receive each other's
-        responses on the shared socket.
-        """
+        """One round trip (see :class:`WireConnection`), counted."""
         with self._io_lock:
             started = time.perf_counter()
-            for attempt in (0, 1):
-                sock = self._connect()
-                try:
-                    send_message(sock, payload)
-                    response = recv_message(sock)
-                    if response is None:
-                        raise ProtocolError("server closed the connection")
-                    break
-                except (OSError, ProtocolError):
-                    self._drop_connection()
-                    if attempt:
-                        raise
+            response = self._wire.request(payload)
             self.remote_requests += 1
             self.remote_seconds += time.perf_counter() - started
         if not response.get("ok"):
@@ -152,12 +108,6 @@ class RemotePulseCache(PulseCache):
                 f"cache server {self.url}: {response.get('error', 'unknown error')}"
             )
         return response
-
-    def _drop_connection(self) -> None:
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            with contextlib.suppress(OSError):
-                sock.close()
 
     # -- lookups: L1 first, then the server ------------------------------
 
@@ -258,7 +208,7 @@ class RemotePulseCache(PulseCache):
     def close(self) -> None:
         with self._io_lock:
             self.flush()
-            self._drop_connection()
+            self._wire.close()
 
     def __enter__(self) -> RemotePulseCache:
         return self
@@ -324,4 +274,4 @@ class RemotePulseCache(PulseCache):
         return info
 
 
-__all__ = ["DEFAULT_FLUSH_THRESHOLD", "RemotePulseCache", "parse_cache_url"]
+__all__ = ["DEFAULT_FLUSH_THRESHOLD", "RemotePulseCache"]

@@ -1,14 +1,14 @@
 """The shared cache server: one warm pulse store for a whole fleet.
 
-A stdlib ``socketserver.ThreadingTCPServer`` speaking the
-length-prefixed JSON protocol of :mod:`repro.control.cache.protocol`.
-The server owns one :class:`~repro.control.cache.store.PulseCache`
+A :class:`~repro.control.cache.protocol.WireServer` speaking the
+cache op vocabulary of :mod:`repro.control.cache.protocol`.  The
+server owns one :class:`~repro.control.cache.store.PulseCache`
 (optionally disk-backed, optionally byte-budgeted — eviction then
 happens server-side, fleet-wide) and answers point lookups, batched
 delta uploads, statistics queries, and the per-signature lease that
 gives remote clients fleet-wide single-flight synthesis.
 
-Run it standalone with ``python -m repro.control.cache_server`` or embed
+Run it standalone with ``python -m repro.control.cache`` or embed
 it (tests, examples)::
 
     server = CacheServer(store=DiskPulseCache("fleet_cache"))
@@ -19,17 +19,14 @@ it (tests, examples)::
 
 from __future__ import annotations
 
-import socketserver
 import threading
 import time
 
 from repro.control.cache.protocol import (
     PROTOCOL_FORMAT,
+    WireServer,
     decode_latency_key,
     decode_pulse_key,
-    reachable_host,
-    recv_message,
-    send_message,
 )
 from repro.control.cache.store import PulseCache
 
@@ -42,16 +39,6 @@ DEFAULT_LOCK_TTL_SECONDS = 300.0
 #: client asks for, a crashed holder's lease still expires within this.
 MIN_LOCK_TTL_SECONDS = 1.0
 MAX_LOCK_TTL_SECONDS = 3600.0
-
-_OPS = (
-    "ping",
-    "get_latency",
-    "get_pulse",
-    "push_delta",
-    "stats",
-    "lock",
-    "unlock",
-)
 
 
 class _LeaseTable:
@@ -94,38 +81,7 @@ class _LeaseTable:
             return len(self._leases)
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    """One connection: a stream of request frames until EOF."""
-
-    def handle(self) -> None:
-        server: _TCPServer = self.server  # type: ignore[assignment]
-        while True:
-            try:
-                request = recv_message(self.request)
-            except Exception:
-                return  # torn frame / reset: drop the connection
-            if request is None:
-                return
-            try:
-                response = server.cache_server.dispatch(request)
-            except Exception as error:  # never kill the server thread
-                # A raised dispatch is as much a failed request as an
-                # unknown op; without this, stats() under-reports.
-                server.cache_server.record_error()
-                response = {"ok": False, "error": f"{type(error).__name__}: {error}"}
-            try:
-                send_message(self.request, response)
-            except OSError:
-                return
-
-
-class _TCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    cache_server: CacheServer
-
-
-class CacheServer:
+class CacheServer(WireServer):
     """The fleet cache: store + lease table + request dispatch.
 
     Args:
@@ -138,6 +94,17 @@ class CacheServer:
         lock_ttl: Seconds before an unreleased synthesis lease expires.
     """
 
+    wire_format = PROTOCOL_FORMAT
+    ops = (
+        "ping",
+        "get_latency",
+        "get_pulse",
+        "push_delta",
+        "stats",
+        "lock",
+        "unlock",
+    )
+
     def __init__(
         self,
         store: PulseCache | None = None,
@@ -147,81 +114,14 @@ class CacheServer:
     ) -> None:
         self.store = store if store is not None else PulseCache()
         self.leases = _LeaseTable(lock_ttl)
-        self.started_at = time.time()
-        self.op_counts: dict[str, int] = dict.fromkeys(_OPS, 0)
-        self.errors = 0
-        #: Request/error counters are bumped from ThreadingTCPServer
-        #: handler threads, one per connected client; ``n += 1`` is a
-        #: read-modify-write, so unlocked concurrent bumps lose counts.
-        self._counter_lock = threading.Lock()
-        self._tcp = _TCPServer((host, port), _Handler)
-        self._tcp.cache_server = self
-        self._thread: threading.Thread | None = None
-
-    # -- lifecycle -------------------------------------------------------
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._tcp.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        """A *connectable* ``host:port`` for this server.
-
-        A wildcard bind address (``0.0.0.0`` / ``::``) is resolved to
-        loopback — the wildcard listens everywhere but connects nowhere,
-        so advertising it verbatim hands clients a dead address.  Reach
-        a wildcard-bound server from another machine by its real
-        interface address instead.
-        """
-        host, port = self.address
-        return f"{reachable_host(host)}:{port}"
-
-    def start(self) -> CacheServer:
-        """Serve from a daemon thread; returns self for chaining."""
-        self._thread = threading.Thread(
-            target=self._tcp.serve_forever, name="cache-server", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI path)."""
-        self._tcp.serve_forever()
+        super().__init__(host, port)
 
     def stop(self) -> int:
         """Shut down and persist the store; returns entries saved."""
-        self._tcp.shutdown()
-        self._tcp.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
+        super().stop()
         return self.store.save()
 
-    def __enter__(self) -> CacheServer:
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # -- request dispatch ------------------------------------------------
-
-    def record_error(self) -> None:
-        """Count one failed request (unknown op or raised dispatch)."""
-        with self._counter_lock:
-            self.errors += 1
-
-    def dispatch(self, request: dict) -> dict:
-        op = request.get("op")
-        if op not in _OPS:
-            self.record_error()
-            return {"ok": False, "error": f"unknown op {op!r}; known: {_OPS}"}
-        with self._counter_lock:
-            self.op_counts[op] += 1
-        return getattr(self, f"_op_{op}")(request)
-
-    def _op_ping(self, request: dict) -> dict:
-        return {"ok": True, "format": PROTOCOL_FORMAT}
+    # -- op handlers -----------------------------------------------------
 
     def _op_get_latency(self, request: dict) -> dict:
         key = decode_latency_key(request["key"])

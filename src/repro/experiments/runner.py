@@ -8,7 +8,7 @@ cache and the whole sweep completes dramatically faster.  The cache can
 also be *shared across processes and machines*: ``--cache DIR
 --cache-shards N`` mounts a lock-protected sharded directory store many
 concurrent runners warm together, and ``--cache-url HOST:PORT`` connects
-to a ``python -m repro.control.cache_server`` fleet cache; either way
+to a ``python -m repro.control.cache`` fleet cache; either way
 every distinct pulse is synthesized once fleet-wide and the exit bill
 prints a one-line cache summary.
 
@@ -432,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="HOST:PORT",
         help="share the pulse cache fleet-wide through a cache server "
-        "(python -m repro.control.cache_server); overrides --cache",
+        "(python -m repro.control.cache); overrides --cache",
     )
     parser.add_argument(
         "--cache-max-bytes",

@@ -3,8 +3,9 @@
 The batch engine (:mod:`repro.compiler.batch`) made one *process* share
 one warm pulse cache across a sweep; this package makes one *server*
 share one resident engine across many submitting processes and
-machines.  Clients submit ``repro-ir-v1`` job envelopes over the cache
-protocol's length-prefixed JSON framing; the server queues them with
+machines.  Clients submit ``repro-ir-v1`` job envelopes over the wire
+kernel the cache server also runs on
+(:mod:`repro.control.cache.protocol`); the server queues them with
 explicit backpressure, compiles them on worker threads, quarantines
 poisoned circuits behind a circuit breaker, journals every transition
 crash-safely, and serves the finished artifacts back.
@@ -28,7 +29,7 @@ from repro.service.breaker import (
     DEFAULT_BREAKER_THRESHOLD,
     CircuitBreaker,
 )
-from repro.service.client import ServiceClient, parse_service_url
+from repro.service.client import ServiceClient
 from repro.service.journal import JobJournal
 from repro.service.protocol import (
     REJECT_QUARANTINED,
@@ -57,5 +58,4 @@ __all__ = [
     "JobJournal",
     "ServiceClient",
     "job_signature",
-    "parse_service_url",
 ]

@@ -8,7 +8,7 @@ clients.  Typical deployment::
 
 The cache flag family matches the runner and the cache server: ``--cache``
 mounts a disk stem or sharded directory, ``--cache-url`` mounts a
-``python -m repro.control.cache_server`` fleet cache instead.  With
+``python -m repro.control.cache`` fleet cache instead.  With
 ``--journal DIR`` the server restarts without losing accepted work:
 completed artifacts are re-served from disk, interrupted jobs re-run
 against the still-warm cache.  Clean shutdown on SIGINT/SIGTERM
@@ -18,8 +18,6 @@ persists the cache.
 from __future__ import annotations
 
 import argparse
-import signal
-import sys
 
 from repro.compiler.batch import BatchCompiler
 from repro.control.cache import resolve_cache
@@ -57,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="HOST:PORT",
         help="mount a shared cache server instead of a local store "
-        "(python -m repro.control.cache_server); overrides --cache",
+        "(python -m repro.control.cache); overrides --cache",
     )
     parser.add_argument(
         "--max-bytes",
@@ -145,20 +143,14 @@ def main(argv: list[str] | None = None) -> int:
         f"({args.workers} workers, {args.backend} backend{resumed})",
         flush=True,
     )
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
-    try:
-        service.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        service.stop()
-        stats = service.stats()
-        print(
-            f"compile service stopped: {stats['completed']} jobs completed, "
-            f"{stats['failed']} failed, "
-            f"{sum(stats['requests'].values())} requests served",
-            flush=True,
-        )
+    service.serve_until_interrupted()
+    stats = service.stats()
+    print(
+        f"compile service stopped: {stats['completed']} jobs completed, "
+        f"{stats['failed']} failed, "
+        f"{sum(stats['requests'].values())} requests served",
+        flush=True,
+    )
     return 0
 
 

@@ -4,8 +4,8 @@
 submit circuits (or prebuilt :class:`~repro.compiler.batch.BatchJob`
 payloads), poll status, download finished
 :class:`~repro.compiler.result.CompilationResult` artifacts.  Transport
-mirrors :class:`~repro.control.cache.client.RemotePulseCache`: one
-socket, one lock around each round trip, one silent reconnect on a
+is the shared :class:`~repro.control.cache.protocol.WireConnection`:
+one socket, one lock around each round trip, one silent reconnect on a
 dropped connection — which is exactly what rides out a server restart
 mid-session.
 
@@ -18,28 +18,14 @@ hint retry loop.
 
 from __future__ import annotations
 
-import contextlib
-import socket
-import threading
 import time
 
+from repro.control.cache.protocol import WireConnection
 from repro.errors import ServiceBusyError, ServiceError
-from repro.service.protocol import (
-    SERVICE_FORMAT,
-    ProtocolError,
-    recv_message,
-    send_message,
-)
+from repro.service.protocol import SERVICE_FORMAT
 
 #: Default seconds between status polls in :meth:`ServiceClient.wait`.
 DEFAULT_POLL_SECONDS = 0.1
-
-
-def parse_service_url(url: str) -> tuple[str, int]:
-    """``host:port`` or ``tcp://host:port`` -> (host, port)."""
-    from repro.control.cache.client import parse_cache_url
-
-    return parse_cache_url(url)
 
 
 class ServiceClient:
@@ -52,35 +38,13 @@ class ServiceClient:
 
     def __init__(self, url: str, timeout: float = 30.0) -> None:
         self.url = url
-        self.host, self.port = parse_service_url(url)
-        self.timeout = timeout
-        self._sock: socket.socket | None = None
-        self._io_lock = threading.Lock()
+        self._wire = WireConnection(url, timeout)
 
     # -- transport -------------------------------------------------------
 
-    def _connect(self) -> socket.socket:
-        if self._sock is None:
-            self._sock = socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
-            )
-        return self._sock
-
     def _request(self, payload: dict) -> dict:
-        """One round trip; reconnects once on a dropped connection."""
-        with self._io_lock:
-            for attempt in (0, 1):
-                sock = self._connect()
-                try:
-                    send_message(sock, payload)
-                    response = recv_message(sock)
-                    if response is None:
-                        raise ProtocolError("server closed the connection")
-                    break
-                except (OSError, ProtocolError):
-                    self._drop_connection()
-                    if attempt:
-                        raise
+        """One round trip; an ``ok: false`` answer raises ServiceError."""
+        response = self._wire.request(payload)
         if not response.get("ok"):
             raise ServiceError(
                 f"compile service {self.url}: "
@@ -88,15 +52,8 @@ class ServiceClient:
             )
         return response
 
-    def _drop_connection(self) -> None:
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            with contextlib.suppress(OSError):
-                sock.close()
-
     def close(self) -> None:
-        with self._io_lock:
-            self._drop_connection()
+        self._wire.close()
 
     def __enter__(self) -> ServiceClient:
         return self
@@ -231,4 +188,4 @@ class ServiceClient:
         return service_stats_from_dict(self._request({"op": "stats"})["stats"])
 
 
-__all__ = ["DEFAULT_POLL_SECONDS", "ServiceClient", "parse_service_url"]
+__all__ = ["DEFAULT_POLL_SECONDS", "ServiceClient"]

@@ -1,10 +1,11 @@
 """Wire protocol of the compile service.
 
-The service speaks the cache protocol's transport — 4-byte big-endian
-length prefix, UTF-8 JSON object per frame, many frames per connection
-(:mod:`repro.control.cache.protocol`) — with its own op vocabulary and
-format tag, so one fleet deployment reuses one framing codebase, one
-firewall story, and one debugging toolset for both servers.
+The service runs on the wire kernel of :mod:`repro.control.cache.protocol`
+— 4-byte big-endian length prefix, UTF-8 JSON object per frame, many
+frames per connection, one TCP server and one client connection — with
+its own op vocabulary and format tag, so one fleet deployment reuses one
+transport, one firewall story, and one debugging toolset for both
+servers.
 
 Requests are ``{"op": <name>, ...}``; responses always carry ``"ok"``.
 ``ok: false`` means the *request* failed (malformed payload, unknown op,
@@ -40,13 +41,6 @@ Ops
 
 from __future__ import annotations
 
-from repro.control.cache.protocol import (  # noqa: F401  (re-exports)
-    ProtocolError,
-    reachable_host,
-    recv_message,
-    send_message,
-)
-
 #: Format tag answered by ``ping`` and checked by clients: bump on any
 #: incompatible change to the op vocabulary or response shapes.
 SERVICE_FORMAT = "repro-service-wire-v1"
@@ -71,8 +65,4 @@ __all__ = [
     "REJECT_QUEUE_FULL",
     "SERVICE_FORMAT",
     "SERVICE_OPS",
-    "ProtocolError",
-    "reachable_host",
-    "recv_message",
-    "send_message",
 ]

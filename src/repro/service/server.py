@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import socketserver
 import threading
 import time
 
 from repro.compiler.batch import _COUNTER_KEYS, BatchCompiler
+from repro.control.cache.protocol import WireServer
 from repro.errors import JobCancelledError, ReproError, ServiceError
 from repro.service.breaker import (
     DEFAULT_BREAKER_COOLDOWN,
@@ -51,9 +51,6 @@ from repro.service.protocol import (
     REJECT_QUEUE_FULL,
     SERVICE_FORMAT,
     SERVICE_OPS,
-    reachable_host,
-    recv_message,
-    send_message,
 )
 from repro.service.queue import BoundedJobQueue
 
@@ -163,36 +160,7 @@ class _JobRecord:
         }
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    """One connection: a stream of request frames until EOF."""
-
-    def handle(self) -> None:
-        server: _TCPServer = self.server  # type: ignore[assignment]
-        while True:
-            try:
-                request = recv_message(self.request)
-            except Exception:
-                return  # torn frame / reset: drop the connection
-            if request is None:
-                return
-            try:
-                response = server.service.dispatch(request)
-            except Exception as error:  # never kill the server thread
-                server.service.record_error()
-                response = {"ok": False, "error": f"{type(error).__name__}: {error}"}
-            try:
-                send_message(self.request, response)
-            except OSError:
-                return
-
-
-class _TCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    service: CompileService
-
-
-class CompileService:
+class CompileService(WireServer):
     """The compile server: engine + queue + breaker + journal + wire.
 
     Args:
@@ -214,6 +182,9 @@ class CompileService:
         journal: A :class:`JobJournal` (or a directory path for one) for
             crash-safe restarts; ``None`` keeps state in memory only.
     """
+
+    wire_format = SERVICE_FORMAT
+    ops = SERVICE_OPS
 
     def __init__(
         self,
@@ -239,12 +210,6 @@ class CompileService:
         )
         self.workers = workers
         self.job_timeout = job_timeout
-        self.started_at = time.time()
-        self.op_counts: dict[str, int] = dict.fromkeys(SERVICE_OPS, 0)
-        self.errors = 0
-        #: Same discipline as the cache server: counters are bumped from
-        #: handler threads, so every read-modify-write takes this lock.
-        self._counter_lock = threading.Lock()
         #: Guards the record table, job-id serial, and the EWMA.
         self._lock = threading.Lock()
         self._records: dict[str, _JobRecord] = {}
@@ -272,42 +237,14 @@ class CompileService:
         self.result_cache_hits = 0
         self.result_cache_misses = 0
         self.coalesced = 0
-        self._tcp = _TCPServer((host, port), _Handler)
-        self._tcp.service = self
-        self._serve_thread: threading.Thread | None = None
+        super().__init__(host, port)
         if self.journal is not None:
             self._recover()
 
     # -- lifecycle -------------------------------------------------------
 
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._tcp.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        """A connectable ``host:port`` (wildcard binds -> loopback)."""
-        host, port = self.address
-        return f"{reachable_host(host)}:{port}"
-
-    def start(self) -> CompileService:
-        """Serve requests and start workers; returns self for chaining."""
-        self._serve_thread = threading.Thread(
-            target=self._tcp.serve_forever, name="compile-service", daemon=True
-        )
-        self._serve_thread.start()
-        for index in range(self.workers):
-            thread = threading.Thread(
-                target=self._worker_loop,
-                name=f"compile-worker-{index}",
-                daemon=True,
-            )
-            thread.start()
-            self._worker_threads.append(thread)
-        return self
-
     def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI path); workers still spawn."""
+        """Start the workers, then serve on the calling thread."""
         for index in range(self.workers):
             thread = threading.Thread(
                 target=self._worker_loop,
@@ -316,7 +253,7 @@ class CompileService:
             )
             thread.start()
             self._worker_threads.append(thread)
-        self._tcp.serve_forever()
+        super().serve_forever()
 
     def stop(self) -> None:
         """Drain admissions, stop workers, persist the cache.
@@ -329,21 +266,11 @@ class CompileService:
         """
         self._stopping.set()
         self.queue.close()
-        self._tcp.shutdown()
-        self._tcp.server_close()
+        super().stop()
         for thread in self._worker_threads:
             thread.join(timeout=10)
         self._worker_threads.clear()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=5)
-            self._serve_thread = None
         self.engine.save_cache()
-
-    def __enter__(self) -> CompileService:
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     # -- restart recovery ------------------------------------------------
 
@@ -592,24 +519,7 @@ class CompileService:
         if self.journal is not None:
             self.journal.record(record.journal_record())
 
-    # -- request dispatch ------------------------------------------------
-
-    def record_error(self) -> None:
-        """Count one failed request (unknown op or raised dispatch)."""
-        with self._counter_lock:
-            self.errors += 1
-
-    def dispatch(self, request: dict) -> dict:
-        op = request.get("op")
-        if op not in SERVICE_OPS:
-            self.record_error()
-            return {"ok": False, "error": f"unknown op {op!r}; known: {SERVICE_OPS}"}
-        with self._counter_lock:
-            self.op_counts[op] += 1
-        return getattr(self, f"_op_{op}")(request)
-
-    def _op_ping(self, request: dict) -> dict:
-        return {"ok": True, "format": SERVICE_FORMAT}
+    # -- op handlers -----------------------------------------------------
 
     def _retry_after(self) -> float:
         """Backpressure hint: EWMA job seconds x backlog per worker."""

@@ -25,7 +25,7 @@ from repro.linalg.embed import embed_operator
 from repro.linalg.predicates import allclose_up_to_global_phase
 from repro.mapping.router import permutation_restore_gates
 from repro.mapping.placement import Placement
-from repro.mapping.topology import grid_for
+from repro.device.topology import grid_for
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +111,16 @@ class TestSemanticsPreservation:
         assert allclose_up_to_global_phase(actual, expected, atol=1e-6)
 
 
+    def test_aggregation_survives_near_scalar_weyl_gram(self):
+        # Aggregation meets a SWAP-class block whose Weyl-coordinate
+        # eigensolve once failed to converge, failing the whole compile.
+        from repro.testing.generators import layered_circuit
+
+        circuit = layered_circuit(6, 27, seed=364863724)
+        result = compile_circuit(circuit, CLS_AGGREGATION)
+        assert result.verify_equivalence(circuit=circuit).equivalent
+
+
 class TestPaperShapes:
     def test_strategy_ordering_on_qaoa(self, ocu):
         import networkx as nx
@@ -161,7 +171,7 @@ class TestPaperShapes:
 
 class TestPermutationRestore:
     def test_restores_identity_mapping(self):
-        from repro.mapping.topology import LineTopology
+        from repro.device.topology import LineTopology
 
         placement = Placement({0: 2, 1: 0, 2: 1}, LineTopology(3))
         gates = permutation_restore_gates(placement)
@@ -179,7 +189,7 @@ class TestPermutationRestore:
         assert all(position[q] == q for q in position)
 
     def test_identity_placement_needs_no_gates(self):
-        from repro.mapping.topology import LineTopology
+        from repro.device.topology import LineTopology
 
         placement = Placement({0: 0, 1: 1}, LineTopology(2))
         assert permutation_restore_gates(placement) == []

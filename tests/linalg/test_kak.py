@@ -83,6 +83,18 @@ class TestWeylCoordinates:
         )
         assert _coords_equal(weyl_coordinates(sqrt_iswap), (PI4 / 2, PI4 / 2, 0.0))
 
+    def test_near_scalar_gram_matrix_converges(self):
+        # A SWAP-class unitary met inside AggregatePass: its magic-basis
+        # Gram matrix is ~i*I with off-diagonal noise of 1e-18..1e-35,
+        # on which LAPACK's eigvals once raised "did not converge".
+        a, b = -0.05290823151393703, -0.9985993786489493j
+        u = np.array(
+            [[a, 0, b, 0], [b, 0, a, 0], [0, a, 0, b], [0, b, 0, a]],
+            dtype=complex,
+        )
+        assert _coords_equal(weyl_coordinates(u), (PI4, PI4, PI4))
+        assert np.allclose(makhlin_invariants(u), makhlin_invariants(SWAP))
+
     def test_non_unitary_rejected(self):
         with pytest.raises(LinalgError):
             weyl_coordinates(np.ones((4, 4)))

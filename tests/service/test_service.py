@@ -18,13 +18,13 @@ from repro.benchmarks.qaoa import line_graph, maxcut_qaoa_circuit
 from repro.compiler.batch import BatchCompiler, BatchJob
 from repro.compiler.result_cache import ResultCache
 from repro.control.cache import DiskPulseCache
+from repro.control.cache.protocol import send_message
 from repro.errors import ServiceBusyError, ServiceError
 from repro.service import CompileService, ServiceClient
 from repro.service.protocol import (
     REJECT_QUARANTINED,
     REJECT_QUEUE_FULL,
     SERVICE_FORMAT,
-    send_message,
 )
 
 
